@@ -41,34 +41,31 @@ object Tables {
   private val runCache = mutable.Map.empty[(String, String, String, String), DiskSim.Metrics]
   private val lblCache = mutable.Map.empty[(String, String, String), BlockLoading.Learned]
 
-  /** Train the learning-based loading model for the bi-block engine (§5.2.2
-    * protocol: one profiling run under full load, one under on-demand load,
-    * then per-block regression).
-    */
+  /** Train the learning-based loading model for the bi-block engine. */
   def lblPolicy(spec: GraphSpec, partition: String, taskKind: String)
                (implicit spark: SparkSession): BlockLoading.Learned =
-    lblCache.getOrElseUpdate((spec.name, partition, taskKind), {
-      val bg = Datasets.blocked(spec, partition)
-      val t = task(spec, taskKind)
-      val fullLog = new LoadLogCollector
-      val odLog = new LoadLogCollector
-      new BiBlockEngine(BlockLoading.AlwaysFull, fullLog).run(bg, t, Scale.sim(spec, bg, t))
-      new BiBlockEngine(BlockLoading.AlwaysOnDemand, odLog).run(bg, t, Scale.sim(spec, bg, t))
-      LblTrainer.train(bg.nBlocks, fullLog, odLog)
-    })
+    trainLbl(spec, partition, taskKind, taskKind)(new BiBlockEngine(_, _))
 
   /** Same protocol for first-order current-block loading (Table 7). */
   def lblPolicyFirstOrder(spec: GraphSpec, partition: String)
                          (implicit spark: SparkSession): BlockLoading.Learned =
-    lblCache.getOrElseUpdate((spec.name, partition, "FO-DeepWalk"), {
+    trainLbl(spec, partition, "DeepWalk", "FO-DeepWalk")(
+      new FirstOrderEngine(new Scheduling.Iteration, _, _))
+
+  /** The §5.2.2 protocol (memoized under `cacheKey`): one profiling run of
+    * `engine` under full load, one under on-demand load, then per-block
+    * regression.
+    */
+  private def trainLbl(spec: GraphSpec, partition: String, taskKind: String, cacheKey: String)
+                      (engine: (BlockLoading.Policy, LoadLogCollector) => WalkEngine)
+                      (implicit spark: SparkSession): BlockLoading.Learned =
+    lblCache.getOrElseUpdate((spec.name, partition, cacheKey), {
       val bg = Datasets.blocked(spec, partition)
-      val t = task(spec, "DeepWalk")
+      val t = task(spec, taskKind)
       val fullLog = new LoadLogCollector
       val odLog = new LoadLogCollector
-      new FirstOrderEngine(new Scheduling.Iteration, BlockLoading.AlwaysFull, fullLog)
-        .run(bg, t, Scale.sim(spec, bg, t))
-      new FirstOrderEngine(new Scheduling.Iteration, BlockLoading.AlwaysOnDemand, odLog)
-        .run(bg, t, Scale.sim(spec, bg, t))
+      engine(BlockLoading.AlwaysFull, fullLog).run(bg, t, Scale.sim(spec, bg, t))
+      engine(BlockLoading.AlwaysOnDemand, odLog).run(bg, t, Scale.sim(spec, bg, t))
       LblTrainer.train(bg.nBlocks, fullLog, odLog)
     })
 

@@ -33,11 +33,11 @@ final class BiBlockEngine(
 
   def run(bg: BlockedGraph, task: WalkTask, sim: DiskSim,
           visits: Array[Long] = null, trace: TraceCollector = null): DiskSim.Metrics = {
-    val g = bg.g
     val nB = bg.nBlocks
     val storage = new SkewedWalkStorage(bg)
+    val step = new Stepping(bg, task, sim, visits, trace)
 
-    Init.run(bg, task, sim, visits, trace)(storage.persist)
+    Init.run(step)(storage.persist)
 
     while (!storage.isEmpty) {
       sim.supersteps += 1
@@ -47,12 +47,14 @@ final class BiBlockEngine(
           val curWalks = storage.pools.drain(b)
           sim.walkIO(curWalks.length) // load the associated walks (Alg. 1 l.3)
 
-          // Collect buckets (Eq. 4): by the "other" block of the pair.
+          // Collect buckets (Eq. 4): by the "other" block of the pair, which
+          // the skewed storage guarantees is above b.
           val buckets = Array.fill(nB)(new ArrayBuffer[Walk])
           curWalks.foreach { w =>
             val p =
               if (bg.blockOf(w.prev) == b) bg.blockOf(w.cur)
               else bg.blockOf(w.prev)
+            require(p > b, s"walk ${w.id} in pool $b collected into bucket $p")
             buckets(p) += w
           }
 
@@ -62,53 +64,27 @@ final class BiBlockEngine(
           sim.timeSlots += 1
           var i = b + 1
           while (i < nB) {
-            if (buckets(i).nonEmpty) {
-              val t0  = sim.wallTimeSec
-              val eta = buckets(i).length.toDouble / math.max(1, bg.verticesInBlock(i))
-              val mode = policy.mode(i, buckets(i).length, bg.verticesInBlock(i))
-              val access = BlockLoading.load(bg, i, mode, buckets(i), sim)
-
+            val bucket = buckets(i)
+            if (bucket.nonEmpty) BlockLoading.loadAndRun(bg, i, bucket, policy, sim, loadLog) { access =>
+              // Only the ancillary block can be partly resident.
+              val touch: Walk => Unit = { w =>
+                if (bg.blockOf(w.cur) == i) access.touch(w.cur)
+                if (bg.blockOf(w.prev) == i) access.touch(w.prev)
+              }
               var idx = 0
-              while (idx < buckets(i).length) { // may grow via bucket-extending
-                var w = buckets(i)(idx)
+              while (idx < bucket.length) { // may grow via bucket-extending
+                val w = step.advance(bucket(idx), b, i, touch)
                 idx += 1
-                // UpdateWalk: advance while the walk stays in-memory.
-                var alive = true
-                var inMem = true
-                while (alive && inMem) {
-                  val cb = bg.blockOf(w.cur)
-                  if (cb == i) access.touch(w.cur)
-                  if (w.prev >= 0 && bg.blockOf(w.prev) == i) access.touch(w.prev)
-                  val z = Stepping.sample(g, task, w, sim)
-                  if (z < 0) alive = false
-                  else {
-                    w = Walk(w.id, w.src, w.cur, z, w.hop + 1)
-                    if (visits != null) visits(z) += 1
-                    if (trace != null) trace.step(w.id, z)
-                    if (task.stopsAfter(w.id, w.hop)) alive = false
-                    else {
-                      val nb = bg.blockOf(w.cur)
-                      inMem = nb == b || nb == i
-                    }
-                  }
-                }
-                if (alive) {
-                  // Walk persistence — Alg. 2 case analysis.
+                if (w != null) {
+                  // Walk persistence — Alg. 2 case analysis. A walk that left
+                  // to a block above i with its previous vertex in b joins
+                  // that later bucket of this slot (bucket-extending, l.14);
+                  // every other walk goes to its min(pre, cur) pool.
                   val cur = bg.blockOf(w.cur)
-                  val pre = bg.blockOf(w.prev)
-                  if (cur < b) { storage.persist(w); sim.walkIO(1) }
-                  else if (cur < i) { // b < cur < i
-                    if (pre == b) { storage.pools.add(b, w); sim.walkIO(1) }
-                    else { storage.persist(w); sim.walkIO(1) }
-                  } else { // cur > i
-                    if (pre == b) buckets(cur) += w // bucket-extending (l.14)
-                    else { storage.pools.add(i, w); sim.walkIO(1) }
-                  }
+                  if (cur > i && bg.blockOf(w.prev) == b) buckets(cur) += w
+                  else { storage.persist(w); sim.walkIO(1) }
                 }
               }
-
-              if (loadLog != null)
-                loadLog.record(i, eta, sim.wallTimeSec - t0)
             }
             i += 1
           }

@@ -63,6 +63,19 @@ object BlockLoading {
       new BlockAccess(bg, b, OnDemand, bits, sim)
   }
 
+  /** One load-and-execute unit: let `policy` pick the mode for block `b`
+    * and walk set `walks`, load the block, run `body` over the resident
+    * view, and log (b, η, Δt) to `loadLog` when profiling. η and the mode
+    * come from `walks` as it stands before `body` runs.
+    */
+  def loadAndRun(bg: BlockedGraph, b: Int, walks: collection.Seq[Walk], policy: Policy,
+                 sim: DiskSim, loadLog: LoadLogCollector)(body: BlockAccess => Unit): Unit = {
+    val t0  = sim.wallTimeSec
+    val eta = walks.length.toDouble / math.max(1, bg.verticesInBlock(b))
+    body(load(bg, b, policy.mode(b, walks.length, bg.verticesInBlock(b)), walks, sim))
+    if (loadLog != null) loadLog.record(b, eta, sim.wallTimeSec - t0)
+  }
+
   /** A loading policy decides the mode for each (block, walk-set) pair. */
   trait Policy {
     def mode(block: Int, nWalks: Int, nVertices: Int): Mode

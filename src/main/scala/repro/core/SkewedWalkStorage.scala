@@ -12,11 +12,15 @@ final class SkewedWalkStorage(bg: BlockedGraph) {
   val pools = new WalkPools(bg.nBlocks)
 
   /** The association rule: min of the two blocks. Initial walks (prev = -1)
-    * cannot occur here — initialization (App. B) guarantees hop >= 1.
+    * cannot occur here — initialization (App. B) guarantees hop >= 1 — and
+    * neither can walks with both vertices in one block, which the engine
+    * would still be advancing. Every persist checks both.
     */
   def homeBlock(w: Walk): Int = {
     require(w.prev >= 0, s"walk ${w.id} persisted before its first step")
-    math.min(bg.blockOf(w.prev), bg.blockOf(w.cur))
+    val pb = bg.blockOf(w.prev); val cb = bg.blockOf(w.cur)
+    require(pb != cb, s"walk ${w.id} persisted with prev and cur in block $pb")
+    math.min(pb, cb)
   }
 
   def persist(w: Walk): Unit = pools.add(homeBlock(w), w)

@@ -13,7 +13,11 @@ package repro.disk
   * @param stepBaseSec       amortized execution cost of sampling one walk step
   * @param stepPerNeighborSec extra execution cost per candidate neighbor
   *                          weighted during a second-order step
-  * @param walkBytes         bytes per persisted walk (128-bit encoding, §6.1)
+  * @param walkBytes         bytes per persisted walk: the paper's 128-bit walk
+  *                          (§6.1, Fig. 7) packs source, previous vertex,
+  *                          current-vertex offset, both block ids and the
+  *                          hop into 16 bytes; walk-pool I/O is charged at
+  *                          that size
   */
 final case class CostModel(
     seqSeekSec: Double = 0.1e-3,

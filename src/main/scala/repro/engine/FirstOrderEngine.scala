@@ -19,18 +19,16 @@ final class FirstOrderEngine(
     scheduling: Scheduling,
     policy: BlockLoading.Policy = BlockLoading.AlwaysFull,
     loadLog: LoadLogCollector = null,
-    engineName: String = null,
 ) extends WalkEngine {
 
-  def name: String =
-    if (engineName != null) engineName else s"FirstOrder(${scheduling.strategyName})"
+  def name: String = s"FirstOrder(${scheduling.strategyName})"
 
   def run(bg: BlockedGraph, task: WalkTask, sim: DiskSim,
           visits: Array[Long] = null, trace: TraceCollector = null): DiskSim.Metrics = {
     require(!task.model.isSecondOrder,
       "FirstOrderEngine only supports first-order models; use the bi-block engine")
-    val g = bg.g
     val pools = new WalkPools(bg.nBlocks)
+    val step = new Stepping(bg, task, sim, visits, trace)
 
     // First-order walks need no initialization pass: they start when their
     // source block first becomes the current block (GraphWalker behavior).
@@ -38,11 +36,8 @@ final class FirstOrderEngine(
     task.starts.foreach { case (v, count) =>
       var k = 0
       while (k < count) {
-        val w = Walk(nextId, v, -1, v, 0)
+        pools.add(bg.blockOf(v), step.start(nextId, v))
         nextId += 1
-        if (visits != null) visits(v) += 1
-        if (trace != null) trace.start(w.id, v)
-        pools.add(bg.blockOf(v), w)
         k += 1
       }
     }
@@ -52,31 +47,16 @@ final class FirstOrderEngine(
     while (choice >= 0) {
       val b = choice
       val walks = pools.drain(b)
-      if (walks.nonEmpty || scheduling.loadsEmpty) {
-        val t0  = sim.wallTimeSec
-        val eta = walks.length.toDouble / math.max(1, bg.verticesInBlock(b))
-        val mode = policy.mode(b, walks.length, bg.verticesInBlock(b))
-        val access = BlockLoading.load(bg, b, mode, walks, sim)
-        sim.timeSlots += 1
-        sim.walkIO(walks.length)
-        walks.foreach { w0 =>
-          var w = w0
-          var alive = true
-          while (alive && bg.blockOf(w.cur) == b) {
-            access.touch(w.cur)
-            val z = Stepping.sample(g, task, w, sim)
-            if (z < 0) alive = false
-            else {
-              w = Walk(w.id, w.src, w.cur, z, w.hop + 1)
-              if (visits != null) visits(z) += 1
-              if (trace != null) trace.step(w.id, z)
-              if (task.stopsAfter(w.id, w.hop)) alive = false
-            }
+      if (walks.nonEmpty || scheduling.loadsEmpty)
+        BlockLoading.loadAndRun(bg, b, walks, policy, sim, loadLog) { access =>
+          sim.timeSlots += 1
+          sim.walkIO(walks.length)
+          val touch: Walk => Unit = w => access.touch(w.cur)
+          walks.foreach { w0 =>
+            val w = step.advance(w0, b, b, touch)
+            if (w != null) { pools.add(bg.blockOf(w.cur), w); sim.walkIO(1) }
           }
-          if (alive) { pools.add(bg.blockOf(w.cur), w); sim.walkIO(1) }
         }
-        if (loadLog != null) loadLog.record(b, eta, sim.wallTimeSec - t0)
-      }
       slot += 1
       choice = scheduling.choose(pools.sizes, pools.minHops, slot)
     }

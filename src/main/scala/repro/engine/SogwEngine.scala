@@ -27,7 +27,7 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
     val g = bg.g
     val nB = bg.nBlocks
     val pools = new WalkPools(nB)
-    val secondOrder = task.model.isSecondOrder
+    val step = new Stepping(bg, task, sim, visits, trace)
 
     // SGSC static cache: top-degree vertices until the degree sum reaches
     // the maximum block edge count (§7.1 baseline definition).
@@ -46,11 +46,19 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
         bits
       }
 
-    Init.run(bg, task, sim, visits, trace)(w => pools.add(bg.blockOf(w.cur), w))
+    Init.run(step)(w => pools.add(bg.blockOf(w.cur), w))
 
     val scheduler = new Scheduling.GraphWalkerMix()
     // Two-slot block memory: a load is free if the block is still resident.
     val resident = new java.util.ArrayDeque[Int](2)
+    // A second-order step needs the previous vertex's adjacency: one light
+    // vertex I/O unless its block is resident (the current block always is)
+    // or the static cache holds it.
+    val secondOrder = task.model.isSecondOrder
+    val lightVertexIO: Walk => Unit = { w =>
+      if (secondOrder && w.prev >= 0 && !resident.contains(bg.blockOf(w.prev)) &&
+          (cached == null || !cached.get(w.prev))) sim.readVertices(1)
+    }
     var slot = 0L
     var choice = scheduler.choose(pools.sizes, pools.minHops, slot)
     while (choice >= 0) {
@@ -64,25 +72,8 @@ final class SogwEngine(staticCache: Boolean) extends WalkEngine {
       val walks = pools.drain(b)
       sim.walkIO(walks.length)
       walks.foreach { w0 =>
-        var w = w0
-        var alive = true
-        while (alive && bg.blockOf(w.cur) == b) {
-          if (secondOrder && w.prev >= 0) {
-            val pb = bg.blockOf(w.prev)
-            val inMem = pb == b || resident.contains(pb) ||
-              (cached != null && cached.get(w.prev))
-            if (!inMem) sim.readVertices(1)
-          }
-          val z = Stepping.sample(g, task, w, sim)
-          if (z < 0) alive = false
-          else {
-            w = Walk(w.id, w.src, w.cur, z, w.hop + 1)
-            if (visits != null) visits(z) += 1
-            if (trace != null) trace.step(w.id, z)
-            if (task.stopsAfter(w.id, w.hop)) alive = false
-          }
-        }
-        if (alive) { pools.add(bg.blockOf(w.cur), w); sim.walkIO(1) }
+        val w = step.advance(w0, b, b, lightVertexIO)
+        if (w != null) { pools.add(bg.blockOf(w.cur), w); sim.walkIO(1) }
       }
       slot += 1
       choice = scheduler.choose(pools.sizes, pools.minHops, slot)

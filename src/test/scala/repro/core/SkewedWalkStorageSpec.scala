@@ -51,6 +51,8 @@ class SkewedWalkStorageSpec extends AnyFunSuite {
     val s = new SkewedWalkStorage(bg)
     s.pools.add(0, Walk(0, 5, prev = 5, cur = 7, hop = 1))
     assertThrows[IllegalArgumentException](s.checkInvariants())
+    assertThrows[IllegalArgumentException](
+      new SkewedWalkStorage(bg).persist(Walk(1, 5, prev = 5, cur = 7, hop = 1)))
   }
 
   test("isEmpty reflects pool contents") {
